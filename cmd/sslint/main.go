@@ -7,7 +7,7 @@
 //
 // Usage:
 //
-//	go run ./cmd/sslint [-json] [-sarif file] [-baseline file] [-write-baseline] [-write-schema [-schema-dir dir]] [-list] [-unscoped] [packages...]
+//	go run ./cmd/sslint [-json] [-sarif file] [-baseline file] [-write-baseline] [-list] [-unscoped] [packages...]
 //
 // Package patterns are module-relative ("./...", "./internal/core",
 // "repro/internal/..."). -json emits machine-readable findings for CI
@@ -25,12 +25,10 @@
 // from the current findings (for the commit that introduces the gate or
 // intentionally accepts debt; review the diff).
 //
-// The schema goldens (api.schema.json, ckpt.schema.json at the module
-// root) pin the /v1 wire contract and the checkpoint payload shape; the
-// wireschema/ckptschema analyzers fail on any drift from them.
-// -write-schema re-extracts both from source and rewrites the goldens —
-// the sanctioned move after a deliberate additive API change or a
-// SnapshotVersion bump; review the diff like any contract change.
+// The /v1 wire contract and the checkpoint payload shape are not lint
+// rules: the golden tests TestAPIContract (internal/studysvc) and
+// TestCheckpointContract (internal/checkpoint) pin them against
+// api.schema.json and ckpt.schema.json, and re-pin them with -update.
 package main
 
 import (
@@ -49,8 +47,6 @@ func main() {
 	sarifOut := flag.String("sarif", "", "write fresh findings as SARIF 2.1.0 to `file` (\"-\" for stdout)")
 	baselinePath := flag.String("baseline", "", "ratchet baseline `file` (default: lint.baseline.json at the module root)")
 	writeBaseline := flag.Bool("write-baseline", false, "regenerate the baseline from current findings and exit")
-	writeSchema := flag.Bool("write-schema", false, "re-extract api.schema.json and ckpt.schema.json goldens and exit")
-	schemaDir := flag.String("schema-dir", "", "directory to write schema goldens into (default: the module root)")
 	list := flag.Bool("list", false, "list analyzers and exit")
 	unscoped := flag.Bool("unscoped", false, "ignore scope config: run all analyzers on all requested packages")
 	flag.Parse()
@@ -82,28 +78,6 @@ func main() {
 	scope := lint.DefaultScope()
 	if *unscoped {
 		scope = nil
-	}
-
-	if *writeSchema {
-		dir := *schemaDir
-		if dir == "" {
-			dir = root
-		}
-		api, ckpt := lint.BuildContracts(pkgs, lint.DefaultScope())
-		if api == nil || ckpt == nil {
-			fatal(fmt.Errorf("contract extraction found api=%v ckpt=%v; load ./... so both trigger packages are present", api != nil, ckpt != nil))
-		}
-		for _, g := range []struct {
-			name string
-			v    any
-		}{{lint.APISchemaFile, api}, {lint.CkptSchemaFile, ckpt}} {
-			path := filepath.Join(dir, g.name)
-			if err := lint.WriteSchemaFile(path, g.v); err != nil {
-				fatal(err)
-			}
-			fmt.Fprintf(os.Stderr, "sslint: wrote %s\n", path)
-		}
-		return
 	}
 
 	findings, err := lint.Run(pkgs, lint.All(), scope)

@@ -92,12 +92,6 @@ type Pass struct {
 	// is asserted fingerprint-neutral by the run's scope configuration,
 	// so its own impurity is not reported at call sites.
 	TrustedImpure func(fullName string) bool
-
-	// GoldenPath returns the golden schema file configured for this
-	// analyzer by the run's scope ("" when none is configured — fixture
-	// runs under a nil scope extract but never compare). Relative paths
-	// are resolved by the analyzer against the analyzed module's root.
-	GoldenPath func() string
 }
 
 // Fact is a typed datum attached to a types.Object or *types.Package by

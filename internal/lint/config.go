@@ -27,12 +27,6 @@ type Scope struct {
 	// package, so a helper smuggled into an otherwise-trusted exempt
 	// package is still caught.
 	TrustedImpure map[string]bool
-	// Goldens maps analyzer name to the golden schema file it compares
-	// the extracted contract against (the wireschema/ckptschema pair).
-	// A relative path is resolved by the analyzer against the analyzed
-	// module's root (the directory holding go.mod); tests pass absolute
-	// paths. Analyzers with no entry extract but never compare.
-	Goldens map[string]string
 }
 
 // simulationPackages are the deterministic core: everything whose output
@@ -145,11 +139,6 @@ func DefaultScope() *Scope {
 			// The error-code registry lives in the root package (spec
 			// validation) and studysvc (the /v1 HTTP error envelope).
 			APICodes.Name: {"repro", "repro/internal/studysvc"},
-			// The wire contract is extracted where the /v1 surface is
-			// built; the checkpoint contract where the envelope codec
-			// lives (it sees core.StudySnapshot through its import).
-			WireSchema.Name: {"repro/internal/studysvc"},
-			CkptSchema.Name: {"repro/internal/checkpoint"},
 			// Exhaustiveness over the declared string-enum sets: study
 			// states and event types (studysvc), spec validation codes
 			// (root), disk kill points (faults) — anywhere those consts
@@ -207,12 +196,6 @@ func DefaultScope() *Scope {
 			"(*repro/internal/checkpoint.Manager).Save": true,
 			"(*repro/internal/checkpoint.Manager).Load": true,
 		},
-		// The two contract goldens, checked in at the module root and
-		// regenerated only via `go run ./cmd/sslint -write-schema`.
-		Goldens: map[string]string{
-			WireSchema.Name: APISchemaFile,
-			CkptSchema.Name: CkptSchemaFile,
-		},
 	}
 }
 
@@ -251,14 +234,4 @@ func (s *Scope) Trusted(analyzer, fullName string) bool {
 		return false
 	}
 	return s.TrustedImpure[fullName]
-}
-
-// Golden returns the golden schema file configured for analyzer, or ""
-// (a nil scope configures no goldens: fixture runs extract but never
-// compare).
-func (s *Scope) Golden(analyzer string) string {
-	if s == nil {
-		return ""
-	}
-	return s.Goldens[analyzer]
 }

@@ -2,6 +2,7 @@ package lint
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 	"strings"
 
@@ -50,7 +51,8 @@ is a property of the package graph, not of call-site discipline.`,
 }
 
 func runFaultBoundary(pass *analysis.Pass) (any, error) {
-	exportV1Facts(pass)
+	rows := exportV1Rows(pass)
+	exportV1Facts(pass, rows)
 	exportWrapperFacts(pass)
 
 	for _, f := range pass.Files {
@@ -66,16 +68,48 @@ func runFaultBoundary(pass *analysis.Pass) (any, error) {
 			if !ok || fd.Body == nil {
 				continue
 			}
-			checkFaultWraps(pass, fd)
+			checkFaultWraps(pass, rows, fd)
 		}
 	}
 	return nil, nil
 }
 
-// exportV1Facts finds mux registrations whose pattern literal contains
-// "/v1": the enclosing function becomes a V1Surface and every function
-// referenced in the handler argument a V1Route.
-func exportV1Facts(pass *analysis.Pass) {
+// exportV1Rows finds route-table rows — composite literals whose first
+// element is a pattern literal containing "/v1" — marks every function a
+// row references a V1Route, and returns the row types, so a mux
+// registration reading its pattern off such a row counts as /v1.
+func exportV1Rows(pass *analysis.Pass) map[types.Type]bool {
+	rows := make(map[types.Type]bool)
+	for _, f := range pass.Files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			lit, ok := n.(*ast.CompositeLit)
+			if !ok || len(lit.Elts) == 0 || !isV1Literal(lit.Elts[0]) {
+				return true
+			}
+			rows[pass.TypesInfo.TypeOf(lit)] = true
+			for _, e := range lit.Elts[1:] {
+				for _, h := range referencedFuncs(pass, e) {
+					pass.ExportObjectFact(h, &V1RouteFact{})
+				}
+			}
+			return true
+		})
+	}
+	return rows
+}
+
+func isV1Literal(e ast.Expr) bool {
+	if kv, ok := e.(*ast.KeyValueExpr); ok {
+		e = kv.Value
+	}
+	lit, ok := ast.Unparen(e).(*ast.BasicLit)
+	return ok && lit.Kind == token.STRING && strings.Contains(lit.Value, "/v1")
+}
+
+// exportV1Facts finds /v1 mux registrations: the enclosing function
+// becomes a V1Surface and every function referenced in the handler
+// argument a V1Route.
+func exportV1Facts(pass *analysis.Pass, rows map[types.Type]bool) {
 	for _, f := range pass.Files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
@@ -88,7 +122,7 @@ func exportV1Facts(pass *analysis.Pass) {
 				if !ok {
 					return true
 				}
-				if !isV1Registration(pass, call) {
+				if !isV1Registration(pass, rows, call) {
 					return true
 				}
 				if fn != nil {
@@ -105,14 +139,17 @@ func exportV1Facts(pass *analysis.Pass) {
 	}
 }
 
-// isV1Registration matches x.Handle("…/v1…", h) / x.HandleFunc("…/v1…", h).
-func isV1Registration(pass *analysis.Pass, call *ast.CallExpr) bool {
+// isV1Registration matches x.Handle("…/v1…", h) / x.HandleFunc("…/v1…", h),
+// and x.Handle(row.pattern, h) over a /v1 route-table row.
+func isV1Registration(pass *analysis.Pass, rows map[types.Type]bool, call *ast.CallExpr) bool {
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok || (sel.Sel.Name != "Handle" && sel.Sel.Name != "HandleFunc") || len(call.Args) < 2 {
 		return false
 	}
-	lit, ok := ast.Unparen(call.Args[0]).(*ast.BasicLit)
-	return ok && strings.Contains(lit.Value, "/v1")
+	if field, ok := ast.Unparen(call.Args[0]).(*ast.SelectorExpr); ok {
+		return rows[pass.TypesInfo.TypeOf(field.X)]
+	}
+	return isV1Literal(call.Args[0])
 }
 
 // referencedFuncs collects the declared functions an expression mentions
@@ -218,13 +255,13 @@ func wrappedHandlerArg(pass *analysis.Pass, call *ast.CallExpr) (ast.Expr, bool)
 
 // checkFaultWraps reports fault-layer wrap calls whose handler argument
 // traces back to a /v1 surface.
-func checkFaultWraps(pass *analysis.Pass, fd *ast.FuncDecl) {
+func checkFaultWraps(pass *analysis.Pass, rows map[types.Type]bool, fd *ast.FuncDecl) {
 	// v1Muxes: locals that had a /v1 route registered on them in this
 	// function — wrapping such a mux wraps the control plane.
 	v1Muxes := make(map[*types.Var]bool)
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
-		if !ok || !isV1Registration(pass, call) {
+		if !ok || !isV1Registration(pass, rows, call) {
 			return true
 		}
 		if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {

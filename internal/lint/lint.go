@@ -37,9 +37,9 @@ import (
 // All returns the full sslint analyzer suite.
 func All() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
-		APICodes, CkptSchema, CtxFlow, ErrFlow, Exhaustive, FaultBoundary,
-		HotAlloc, LockDiscipline, MapOrder, NilTelemetry, NoWallTime,
-		PoolOnly, Purity, RaceCapture, SeededRand, SnapshotFields, WireSchema,
+		APICodes, CtxFlow, ErrFlow, Exhaustive, FaultBoundary, HotAlloc,
+		LockDiscipline, MapOrder, NilTelemetry, NoWallTime, PoolOnly,
+		Purity, RaceCapture, SeededRand, SnapshotFields,
 	}
 }
 
@@ -157,9 +157,6 @@ func Run(pkgs []*load.Package, analyzers []*analysis.Analyzer, scope *Scope) ([]
 				},
 				TrustedImpure: func(fullName string) bool {
 					return scope.Trusted(a.Name, fullName)
-				},
-				GoldenPath: func() string {
-					return scope.Golden(a.Name)
 				},
 			}
 			if _, err := a.Run(pass); err != nil {

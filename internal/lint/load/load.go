@@ -246,7 +246,9 @@ func (l *Loader) dirImportPath(dir string) (string, bool) {
 	return path.Join(l.modulePath, filepath.ToSlash(rel)), true
 }
 
-// walkModule finds every directory under root holding a buildable package.
+// walkModule finds every directory under root holding a buildable
+// package. Like `go list ./...`, it stops at a nested module: a directory
+// with its own go.mod belongs to that module, not this one.
 func (l *Loader) walkModule(root string) ([]string, error) {
 	var out []string
 	err := filepath.WalkDir(root, func(p string, d os.DirEntry, err error) error {
@@ -258,6 +260,9 @@ func (l *Loader) walkModule(root string) ([]string, error) {
 		}
 		name := d.Name()
 		if p != root && (name == "testdata" || name == "vendor" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
+			return filepath.SkipDir
+		}
+		if _, err := os.Stat(filepath.Join(p, "go.mod")); err == nil && p != l.moduleDir {
 			return filepath.SkipDir
 		}
 		if bp, err := l.ctxt.ImportDir(p, 0); err == nil && len(bp.GoFiles) > 0 {

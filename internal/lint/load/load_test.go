@@ -1,6 +1,9 @@
 package load_test
 
 import (
+	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -67,6 +70,40 @@ func TestTestFilesDoNotTaint(t *testing.T) {
 	}
 	for _, f := range findings {
 		t.Errorf("unexpected finding [%s] %s:%d: %s", f.Analyzer, f.File, f.Line, f.Message)
+	}
+}
+
+// TestWalkSkipsNestedModules proves ./... stops at a nested module the
+// way `go list ./...` does: a subdirectory with its own go.mod is another
+// module, so its packages must not load under this module's path.
+func TestWalkSkipsNestedModules(t *testing.T) {
+	root := t.TempDir()
+	for path, src := range map[string]string{
+		"go.mod":             "module outer\n\ngo 1.22\n",
+		"a/a.go":             "package a\n",
+		"nested/go.mod":      "module nested\n\ngo 1.22\n",
+		"nested/n.go":        "package nested\n",
+		"nested/inner/i.go":  "package inner\n",
+		"a/deeper/deeper.go": "package deeper\n",
+	} {
+		full := filepath.Join(root, filepath.FromSlash(path))
+		if err := os.MkdirAll(filepath.Dir(full), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(full, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	loader, err := load.NewModuleLoader(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkgs, err := loader.Load("./...")
+	if err != nil {
+		t.Fatalf("loading ./...: %v", err)
+	}
+	if got, want := importPaths(pkgs), []string{"outer/a", "outer/a/deeper"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("./... loaded %v, want %v", got, want)
 	}
 }
 

@@ -81,7 +81,42 @@ func instrument(reg *telemetry.Registry, route string, h http.Handler) http.Hand
 	})
 }
 
-// Handler returns the versioned study API. Routes:
+// route is one row of the /v1 table: the mux pattern, the instrument
+// name (api_req_<name>_*), the handler, and the JSON the route reads and
+// writes. req is the request body's type (nil: no body); resp lists every
+// 2xx body shape (an NDJSON stream carries a sequence of them). Every
+// non-2xx body is an errorEnvelope. The table is the contract:
+// api.schema.json pins exactly these patterns and the shapes of these
+// types, and the tests hold every handler to its row.
+type route struct {
+	pattern string
+	name    string
+	handler http.Handler
+	req     any
+	resp    []any
+}
+
+// The list routes' response shapes. They are aliases, not named types:
+// the wire shape is an anonymous struct, which api.schema.json keys by its
+// field names ("studysvc.{studies}").
+type (
+	studyList = struct {
+		Studies []Status `json:"studies"`
+	}
+	experimentList = struct {
+		Experiments []expInfo `json:"experiments"`
+	}
+	domainList = struct {
+		Domains []string `json:"domains"`
+	}
+)
+
+type expInfo struct {
+	ID    string `json:"id"`
+	Title string `json:"title"`
+}
+
+// routes is the /v1 surface:
 //
 //	POST   /v1/studies                          launch (validated spec)
 //	GET    /v1/studies                          list (includes recovered)
@@ -91,27 +126,40 @@ func instrument(reg *telemetry.Registry, route string, h http.Handler) http.Hand
 //	GET    /v1/studies/{id}/experiments         experiment registry
 //	GET    /v1/studies/{id}/experiments/{expID} one table as {id,title,text}
 //	GET    /v1/studies/{id}/domains             simulated domains (for drivers)
-//	GET    /v1/studies/{id}/web/                the study's simulated web,
+//	       /v1/studies/{id}/web/                the study's simulated web,
 //	                                            behind its own fault plan
+//	       /v1/                                 catch-all: a JSON 404
 //
 // Everything except the web route is outside fault injection: a 5xx from
 // /v1 is always a real failure.
+func (m *Manager) routes() []route {
+	return []route{
+		{"POST /v1/studies", "launch", http.HandlerFunc(m.handleLaunch), searchseizure.StudySpec{}, []any{Status{}}},
+		{"GET /v1/studies", "list", http.HandlerFunc(m.handleList), nil, []any{studyList{}}},
+		{"GET /v1/studies/{id}", "get", m.withStudy(m.handleGet), nil, []any{Status{}}},
+		{"DELETE /v1/studies/{id}", "delete", http.HandlerFunc(m.handleDelete), nil, []any{Status{}}},
+		{"GET /v1/studies/{id}/events", "events", m.withStudy(m.handleEvents), nil, []any{Event{}}},
+		{"GET /v1/studies/{id}/experiments", "experiments", m.withStudy(m.handleExperimentList), nil, []any{experimentList{}}},
+		{"GET /v1/studies/{id}/experiments/{expID}", "experiment", m.withStudy(m.handleExperiment), nil, []any{export.Table{}}},
+		{"GET /v1/studies/{id}/domains", "domains", m.withStudy(m.handleDomains), nil, []any{domainList{}}},
+		{"/v1/studies/{id}/web/", "serp", http.HandlerFunc(m.handleWeb), nil, nil},
+		{"/v1/", "other", http.HandlerFunc(handleNotFound), nil, nil},
+	}
+}
+
+// Handler returns the versioned study API: every row of routes,
+// instrumented under its name.
 func (m *Manager) Handler() http.Handler {
 	reg := m.opts.Telemetry
 	mux := http.NewServeMux()
-	mux.Handle("POST /v1/studies", instrument(reg, "launch", http.HandlerFunc(m.handleLaunch)))
-	mux.Handle("GET /v1/studies", instrument(reg, "list", http.HandlerFunc(m.handleList)))
-	mux.Handle("GET /v1/studies/{id}", instrument(reg, "get", m.withStudy(m.handleGet)))
-	mux.Handle("DELETE /v1/studies/{id}", instrument(reg, "delete", http.HandlerFunc(m.handleDelete)))
-	mux.Handle("GET /v1/studies/{id}/events", instrument(reg, "events", m.withStudy(m.handleEvents)))
-	mux.Handle("GET /v1/studies/{id}/experiments", instrument(reg, "experiments", m.withStudy(m.handleExperimentList)))
-	mux.Handle("GET /v1/studies/{id}/experiments/{expID}", instrument(reg, "experiment", m.withStudy(m.handleExperiment)))
-	mux.Handle("GET /v1/studies/{id}/domains", instrument(reg, "domains", m.withStudy(m.handleDomains)))
-	mux.Handle("/v1/studies/{id}/web/", instrument(reg, "serp", http.HandlerFunc(m.handleWeb)))
-	mux.Handle("/v1/", instrument(reg, "other", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		writeError(w, http.StatusNotFound, ErrCodeNotFound, "no such route", nil)
-	})))
+	for _, rt := range m.routes() {
+		mux.Handle(rt.pattern, instrument(reg, rt.name, rt.handler))
+	}
 	return mux
+}
+
+func handleNotFound(w http.ResponseWriter, _ *http.Request) {
+	writeError(w, http.StatusNotFound, ErrCodeNotFound, "no such route", nil)
 }
 
 // withStudy resolves {id} or answers a typed 404.
@@ -165,9 +213,7 @@ func (m *Manager) handleLaunch(w http.ResponseWriter, r *http.Request) {
 
 func (m *Manager) handleList(w http.ResponseWriter, _ *http.Request) {
 	handles := m.List()
-	out := struct {
-		Studies []Status `json:"studies"`
-	}{Studies: make([]Status, 0, len(handles))}
+	out := studyList{Studies: make([]Status, 0, len(handles))}
 	for _, h := range handles {
 		out.Studies = append(out.Studies, h.Status())
 	}
@@ -248,13 +294,7 @@ func (m *Manager) handleEvents(w http.ResponseWriter, r *http.Request, h *Handle
 }
 
 func (m *Manager) handleExperimentList(w http.ResponseWriter, _ *http.Request, h *Handle) {
-	type expInfo struct {
-		ID    string `json:"id"`
-		Title string `json:"title"`
-	}
-	var out struct {
-		Experiments []expInfo `json:"experiments"`
-	}
+	var out experimentList
 	for _, e := range searchseizure.Experiments() {
 		out.Experiments = append(out.Experiments, expInfo{ID: e.ID, Title: e.Title})
 	}
@@ -296,9 +336,7 @@ func (m *Manager) handleDomains(w http.ResponseWriter, r *http.Request, h *Handl
 	if limit > 0 && limit < len(names) {
 		names = names[:limit]
 	}
-	writeJSON(w, http.StatusOK, struct {
-		Domains []string `json:"domains"`
-	}{Domains: names})
+	writeJSON(w, http.StatusOK, domainList{Domains: names})
 }
 
 // handleWeb serves the study's simulated web under its own fault plan —

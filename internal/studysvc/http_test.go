@@ -5,11 +5,14 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 
+	searchseizure "repro"
 	"repro/internal/telemetry"
 )
 
@@ -427,4 +430,124 @@ func TestCatchAll404Envelope(t *testing.T) {
 	if snap.Counters["api_req_other_total"] == 0 {
 		t.Fatal("catch-all requests are not counted under api_req_other_total")
 	}
+}
+
+// TestRoutesAnswerWithDeclaredShapes holds every handler to its row of the
+// route table: one real request per route, and every JSON value in the
+// body — one document, or each line of an NDJSON stream — must decode,
+// unknown fields disallowed, into one of the row's declared response
+// types, or into errorEnvelope when the status is not 2xx. A handler
+// cannot put an undeclared shape on the wire. The simulated web's HTML is
+// the one body that is not JSON.
+func TestRoutesAnswerWithDeclaredShapes(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	m := newTestManager(t, 2, 1)
+	srv := httptest.NewServer(m.Handler())
+	t.Cleanup(srv.Close)
+	spec := tinySpec(1)
+	spec.Days = 1
+	h, err := m.Launch(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, h)
+	launch, _ := json.Marshal(spec)
+	fill := strings.NewReplacer("{id}", h.ID, "{expID}", searchseizure.Experiments()[0].ID)
+
+	for _, rt := range m.routes() {
+		method, path, ok := strings.Cut(rt.pattern, " ")
+		if !ok {
+			method, path = http.MethodGet, rt.pattern
+		}
+		path = fill.Replace(path)
+		switch {
+		case path == "/v1/":
+			path += "no/such/route"
+		case strings.HasSuffix(path, "/web/"):
+			path += "?simhost=" + h.study.World.Web.DomainNames()[0] + "&u=/"
+		}
+		req, err := http.NewRequest(method, srv.URL+path, bytes.NewReader(launch))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(resp.Header.Get("Content-Type"), "json") {
+			if rt.resp != nil {
+				t.Errorf("%s: %s body, want JSON", rt.pattern, resp.Header.Get("Content-Type"))
+			}
+			continue
+		}
+		ok2xx := resp.StatusCode/100 == 2
+		switch {
+		case ok2xx && rt.resp == nil:
+			t.Errorf("%s answered %d with JSON but declares no response type", rt.pattern, resp.StatusCode)
+			continue
+		case !ok2xx && rt.resp != nil:
+			t.Errorf("%s answered %d, so its declared types went unchecked: %s", rt.pattern, resp.StatusCode, body)
+		}
+		declared := rt.resp
+		if !ok2xx {
+			declared = []any{errorEnvelope{}}
+		}
+		dec := json.NewDecoder(bytes.NewReader(body))
+		values := 0
+		for {
+			var raw json.RawMessage
+			if err := dec.Decode(&raw); err == io.EOF {
+				break
+			} else if err != nil {
+				t.Fatalf("%s: body is not JSON: %v", rt.pattern, err)
+			}
+			values++
+			if !decodesAsOneOf(raw, declared) {
+				t.Errorf("%s: value %.300s matches none of its declared types %T", rt.pattern, raw, declared)
+			}
+		}
+		if values == 0 {
+			t.Errorf("%s: empty JSON body", rt.pattern)
+		}
+	}
+}
+
+// decodesAsOneOf reports whether raw decodes as one of the types of vs.
+func decodesAsOneOf(raw []byte, vs []any) bool {
+	for _, v := range vs {
+		if decodesAs(raw, v) {
+			return true
+		}
+	}
+	return false
+}
+
+// decodesAs reports whether raw decodes into v's type with unknown fields
+// disallowed. A type with its own MarshalJSON is held to the keys its
+// marshaler writes for the zero value — the shape the contract pins for
+// it.
+func decodesAs(raw []byte, v any) bool {
+	if m, ok := v.(json.Marshaler); ok {
+		zero, err := m.MarshalJSON()
+		var want, got map[string]any
+		if err != nil || json.Unmarshal(zero, &want) != nil || json.Unmarshal(raw, &got) != nil {
+			return false
+		}
+		for k := range got {
+			if _, ok := want[k]; !ok {
+				return false
+			}
+		}
+		return true
+	}
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	dec.DisallowUnknownFields()
+	return dec.Decode(reflect.New(reflect.TypeOf(v)).Interface()) == nil
 }
