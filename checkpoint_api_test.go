@@ -2,6 +2,8 @@ package searchseizure
 
 import (
 	"context"
+	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -12,7 +14,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/simclock"
+	"repro/internal/telemetry"
 )
 
 // goldenTinyFingerprint is the tinyConfig() faults-off dataset fingerprint
@@ -278,5 +282,111 @@ func TestCheckpointCrashRecoveryMatrix(t *testing.T) {
 	if got.Fingerprint() != want.Fingerprint() {
 		t.Fatalf("resumed fingerprint %#x != uninterrupted %#x",
 			got.Fingerprint(), want.Fingerprint())
+	}
+}
+
+// encodeV1 writes a snapshot exactly as envelope-1 builds did: the JSON
+// payload behind the SSCKPT header with envelope byte 1, then an FNV-1a
+// trailer over everything before it.
+func encodeV1(t *testing.T, snap *core.StudySnapshot) []byte {
+	t.Helper()
+	payload, err := json.Marshal(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := append([]byte("SSCKPT\x00"), 1)
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(payload)))
+	buf = append(buf, payload...)
+	h := fnv.New64a()
+	h.Write(buf)
+	return binary.LittleEndian.AppendUint64(buf, h.Sum64())
+}
+
+// TestCheckpointResumesFromEnvelopeV1: a study directory written by an
+// envelope-1 build — its newest file a JSON snapshot cut mid-study —
+// resumes from that file and finishes on the uninterrupted fingerprint:
+// the golden with faults off, an uninterrupted run's with faults moderate.
+func TestCheckpointResumesFromEnvelopeV1(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	for _, profile := range []string{"off", "moderate"} {
+		t.Run(profile, func(t *testing.T) {
+			want := uint64(goldenTinyFingerprint)
+			if profile != "off" {
+				ref, err := New(tinyConfig(), WithFaults(profile))
+				if err != nil {
+					t.Fatal(err)
+				}
+				data, err := ref.RunContext(context.Background())
+				if err != nil {
+					t.Fatal(err)
+				}
+				want = uint64(data.Fingerprint())
+			}
+
+			cut, err := New(tinyConfig(), WithFaults(profile))
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			day := cut.World.Sim.Days() / 2
+			var snap *core.StudySnapshot
+			cut.World.OnDayEnd = func(d simclock.Day) {
+				if int(d)+1 == day {
+					snap = cut.World.Snapshot()
+					cancel()
+				}
+			}
+			if _, err := cut.RunContext(ctx); !errors.Is(err, context.Canceled) {
+				t.Fatalf("got %v, want context.Canceled", err)
+			}
+			dir := t.TempDir()
+			if err := os.WriteFile(filepath.Join(dir, fmt.Sprintf("ckpt-%08d.ckpt", day)), encodeV1(t, snap), 0o644); err != nil {
+				t.Fatal(err)
+			}
+
+			reg := NewTelemetry()
+			resumed, err := New(tinyConfig(), WithFaults(profile), WithTelemetry(reg), WithCheckpoint(dir, 1000))
+			if err != nil {
+				t.Fatal(err)
+			}
+			data, err := resumed.RunContext(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := reg.Counter("checkpoint_loads_total").Value(); n != 1 {
+				t.Fatalf("checkpoint_loads_total = %d: the envelope-1 file was not resumed from", n)
+			}
+			if got := uint64(data.Fingerprint()); got != want {
+				t.Fatalf("fingerprint %#x != %#x", got, want)
+			}
+		})
+	}
+}
+
+// TestCheckpointExportTimed: every save, from the day cadence or from
+// Checkpoint, records its World.Snapshot export in checkpoint_export_ms,
+// next to the manager's checkpoint_save_ms for the encode and write.
+func TestCheckpointExportTimed(t *testing.T) {
+	cfg := tinyConfig()
+	cfg.MaxDays = 3
+	reg := NewTelemetry()
+	s, err := New(cfg, WithTelemetry(reg), WithCheckpoint(t.TempDir(), 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.RunContext(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	saves := reg.Counter("checkpoint_saves_total").Value()
+	exports := reg.Histogram("checkpoint_export_ms", telemetry.DurationBuckets()).Count()
+	saveMS := reg.Histogram("checkpoint_save_ms", telemetry.DurationBuckets()).Count()
+	if saves != 4 || exports != saves || saveMS != saves {
+		t.Fatalf("saves_total %d, export_ms count %d, save_ms count %d; want 4 of each", saves, exports, saveMS)
 	}
 }

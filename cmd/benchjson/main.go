@@ -13,8 +13,9 @@
 // The report's "metrics" block is the ratchet surface: -baseline compares
 // it against a checked-in bench.baseline.json and exits non-zero when any
 // ratcheted metric regresses past its slack (throughput down, allocs up,
-// sslint wall time up). Telemetry overhead rides along in the baseline for
-// context but is gated by its own < 2% contract, not the ratchet.
+// sslint wall time up, checkpoint size up). Telemetry overhead rides along
+// in the baseline for context but is gated by its own < 2% contract, not
+// the ratchet.
 //
 // Usage:
 //
@@ -93,6 +94,11 @@ type metrics struct {
 	// code's cost.
 	CheckpointSaveMs float64 `json:"checkpoint_save_ms"`
 	CheckpointLoadMs float64 `json:"checkpoint_load_ms"`
+	// CheckpointBytes is the size of the file that save wrote: the
+	// encoded snapshot of the finished study. Ratcheted (higher is worse)
+	// with tight slack: it is deterministic for a given codec and config,
+	// so it moves only when the code does.
+	CheckpointBytes int64 `json:"checkpoint_bytes"`
 	// APILaunchMs times one POST /v1/studies round trip through the
 	// service plane (spec validation, world build, spec persistence).
 	// Recorded, not ratcheted: dominated by the world build.
@@ -227,6 +233,7 @@ var ratchets = []ratchet{
 	{"htmlgen_store_allocs_per_op", func(m metrics) float64 { return float64(m.HtmlgenStoreAllocsPerOp) }, true, 0.10},
 	{"triplets_allocs_per_op", func(m metrics) float64 { return float64(m.TripletsAllocsPerOp) }, true, 0.10},
 	{"sslint_wall_ms", func(m metrics) float64 { return m.SslintWallMs }, true, 0.50},
+	{"checkpoint_bytes", func(m metrics) float64 { return float64(m.CheckpointBytes) }, true, 0.01},
 }
 
 // compareBaseline enforces the per-metric ratchet and returns the number
@@ -432,8 +439,8 @@ func main() {
 	// Time one checkpoint save/load cycle over the finished study: the
 	// snapshot export, codec and atomic-write protocol on the way out, the
 	// recovery scan and decode on the way back. The manager records the
-	// same numbers into reg's checkpoint_{save,load}_ms histograms, so they
-	// also land in the archived telemetry snapshot below.
+	// same numbers into reg's checkpoint_{export,save,load}_ms histograms,
+	// so they also land in the archived telemetry snapshot below.
 	ckDir, err := os.MkdirTemp("", "benchjson-ckpt-")
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "checkpoint timing:", err)
@@ -446,19 +453,30 @@ func main() {
 		os.Exit(1)
 	}
 	saveStart := time.Now()
-	if err := mgr.Save(study.World.Snapshot()); err != nil {
+	if err := mgr.Save(mgr.Snapshot(study.World)); err != nil {
 		fmt.Fprintln(os.Stderr, "checkpoint timing:", err)
 		os.Exit(1)
 	}
 	rep.Metrics.CheckpointSaveMs = float64(time.Since(saveStart).Microseconds()) / 1000
+	saved, err := filepath.Glob(filepath.Join(ckDir, "*.ckpt"))
+	if err != nil || len(saved) != 1 {
+		fmt.Fprintln(os.Stderr, "checkpoint size: want one snapshot file, found", saved, err)
+		os.Exit(1)
+	}
+	info, err := os.Stat(saved[0])
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "checkpoint size:", err)
+		os.Exit(1)
+	}
+	rep.Metrics.CheckpointBytes = info.Size()
 	loadStart := time.Now()
 	if _, err := mgr.Load(); err != nil {
 		fmt.Fprintln(os.Stderr, "checkpoint timing:", err)
 		os.Exit(1)
 	}
 	rep.Metrics.CheckpointLoadMs = float64(time.Since(loadStart).Microseconds()) / 1000
-	fmt.Fprintf(os.Stderr, "%-28s save %.1fms load %.1fms\n", "checkpoint cycle",
-		rep.Metrics.CheckpointSaveMs, rep.Metrics.CheckpointLoadMs)
+	fmt.Fprintf(os.Stderr, "%-28s save %.1fms load %.1fms %d bytes\n", "checkpoint cycle",
+		rep.Metrics.CheckpointSaveMs, rep.Metrics.CheckpointLoadMs, rep.Metrics.CheckpointBytes)
 
 	// Service-plane numbers: launch one miniature study through the real
 	// POST /v1/studies handler and drive its simulated-web route; the

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"hash/fnv"
 	"os"
 	"path/filepath"
@@ -136,9 +138,11 @@ func TestDecodeRejectsDamage(t *testing.T) {
 	})
 }
 
-// frame wraps a raw payload in the SSCKPT envelope with the given envelope
-// version byte and a correct length and checksum, so tests can probe decode
-// behaviour past the framing checks.
+// frame wraps a raw payload in the envelope-1 framing — the header with
+// the given version byte, a correct length and an FNV-1a trailer — exactly
+// as builds before envelope 2 wrote it, so tests can probe decode
+// behaviour past the framing checks. Callers pass jsonEnvelope to build a
+// genuine version-1 file.
 func frame(version byte, payload []byte) []byte {
 	buf := make([]byte, 0, headerSize+len(payload)+8)
 	buf = append(buf, magic[:]...)
@@ -150,36 +154,159 @@ func frame(version byte, payload []byte) []byte {
 	return binary.LittleEndian.AppendUint64(buf, h.Sum64())
 }
 
+// frameV2 is frame's envelope-2 counterpart: the same header around a
+// binary payload, with a correct CRC-32C trailer.
+func frameV2(version byte, payload []byte) []byte {
+	buf := make([]byte, 0, headerSize+len(payload)+crcSize)
+	buf = append(buf, magic[:]...)
+	buf = append(buf, version)
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(payload)))
+	buf = append(buf, payload...)
+	return binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, castagnoli))
+}
+
+// encodeV1 writes a snapshot exactly as the envelope-1 encoder did: the
+// JSON payload framed under byte 1 with an FNV-1a trailer.
+func encodeV1(t testing.TB, snap *core.StudySnapshot) []byte {
+	t.Helper()
+	payload, err := json.Marshal(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return frame(jsonEnvelope, payload)
+}
+
+// payloadOf encodes a snapshot and strips the envelope-2 framing, leaving
+// the digest-prefixed binary payload.
+func payloadOf(t testing.TB, snap *core.StudySnapshot) []byte {
+	t.Helper()
+	data, err := Encode(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data[headerSize : len(data)-crcSize]
+}
+
+// damagedV2 is an envelope-2 file whose framing and checksum are intact
+// but whose payload the decoder must refuse with the typed error want.
+type damagedV2 struct {
+	name string
+	file []byte
+	want error
+}
+
+// damagedV2Files hand-damages the payload of a near-empty snapshot whose
+// encoding ends in DatasetState's last three fields: FaultsEnabled,
+// Coverage and ObservedDays = []bool{false}, FpIncr — the bytes
+// 0x00 0x00 0x02 0x00 0x00.
+func damagedV2Files(t testing.TB) []damagedV2 {
+	t.Helper()
+	payload := payloadOf(t, &core.StudySnapshot{Dataset: core.DatasetState{ObservedDays: []bool{false}}})
+	tail := payload[len(payload)-5:]
+	if !bytes.Equal(tail, []byte{0, 0, 2, 0, 0}) {
+		t.Fatalf("payload tail is % x; DatasetState's trailing fields moved, update damagedV2Files", tail)
+	}
+	with := func(edit func(p []byte) []byte) []byte {
+		return frameV2(envelopeVersion, edit(bytes.Clone(payload)))
+	}
+	return []damagedV2{
+		{"wrong-layout-digest", with(func(p []byte) []byte { p[0] ^= 0xFF; return p }), ErrLayout},
+		{"slice-longer-than-bytes-left", with(func(p []byte) []byte { p[len(p)-3] = 0x7F; return p }), ErrCorrupt},
+		{"bool-byte-2", with(func(p []byte) []byte { p[len(p)-2] = 2; return p }), ErrCorrupt},
+		{"trailing-bytes", with(func(p []byte) []byte { return append(p, 0) }), ErrCorrupt},
+		{"shorter-than-digest", frameV2(envelopeVersion, payload[:3]), ErrCorrupt},
+	}
+}
+
+func TestDecodeRejectsDamagedPayload(t *testing.T) {
+	for _, tc := range damagedV2Files(t) {
+		t.Run(tc.name, func(t *testing.T) {
+			snap, err := Decode(tc.file)
+			if !errors.Is(err, tc.want) || snap != nil {
+				t.Fatalf("got (%v, %v), want %v", snap, err, tc.want)
+			}
+			if tc.want == ErrLayout && errors.Is(err, ErrCorrupt) {
+				t.Fatal("a layout mismatch must not be classed as corruption")
+			}
+		})
+	}
+}
+
+// TestDecodeEnvelopeV1 pins the upgrade path: a file written by the
+// envelope-1 encoder (JSON payload, FNV-1a trailer) still decodes to the
+// snapshot it was written from, and its damage is still detected.
+func TestDecodeEnvelopeV1(t *testing.T) {
+	snap := snapshotAfter(t, 3)
+	data := encodeV1(t, snap)
+	got, err := Decode(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, snap) {
+		t.Fatal("decoded envelope-1 snapshot differs from original")
+	}
+	bad := bytes.Clone(data)
+	bad[len(bad)/2] ^= 0x10
+	if _, err := Decode(bad); !errors.Is(err, ErrChecksum) {
+		t.Fatalf("bit flip in an envelope-1 file: got %v, want ErrChecksum", err)
+	}
+	if _, err := Decode(data[:len(data)-1]); !errors.Is(err, ErrTruncated) {
+		t.Fatalf("truncated envelope-1 file: got %v, want ErrTruncated", err)
+	}
+}
+
 // TestDecodeForwardCompat pins the reader's behaviour on files written by a
 // newer build: both a newer envelope and a newer snapshot schema yield
 // their own typed errors — never ErrCorrupt, which is reserved for damage.
 func TestDecodeForwardCompat(t *testing.T) {
 	t.Run("newer-envelope", func(t *testing.T) {
-		data := frame(envelopeVersion+1, []byte(`{}`))
-		_, err := Decode(data)
-		if !errors.Is(err, ErrVersion) {
-			t.Fatalf("got %v, want ErrVersion", err)
-		}
-		if errors.Is(err, ErrCorrupt) {
-			t.Fatal("a newer envelope must not be classed as corruption")
+		for name, data := range map[string][]byte{
+			"v1-framing": frame(envelopeVersion+1, []byte(`{}`)),
+			"v2-framing": frameV2(envelopeVersion+1, payloadOf(t, &core.StudySnapshot{})),
+		} {
+			_, err := Decode(data)
+			if !errors.Is(err, ErrVersion) {
+				t.Fatalf("%s: got %v, want ErrVersion", name, err)
+			}
+			if errors.Is(err, ErrCorrupt) {
+				t.Fatalf("%s: a newer envelope must not be classed as corruption", name)
+			}
 		}
 	})
 	t.Run("newer-snapshot-schema", func(t *testing.T) {
 		payload := []byte(fmt.Sprintf(`{"Version":%d}`, core.SnapshotVersion+1))
-		_, err := Decode(frame(envelopeVersion, payload))
-		if !errors.Is(err, ErrSnapshotVersion) {
-			t.Fatalf("got %v, want ErrSnapshotVersion", err)
+		v2, err := Encode(&core.StudySnapshot{Version: core.SnapshotVersion + 1})
+		if err != nil {
+			t.Fatal(err)
 		}
-		if errors.Is(err, ErrCorrupt) {
-			t.Fatal("a newer snapshot schema must not be classed as corruption")
+		for name, data := range map[string][]byte{
+			"envelope-1": frame(jsonEnvelope, payload),
+			"envelope-2": v2,
+		} {
+			_, err := Decode(data)
+			if !errors.Is(err, ErrSnapshotVersion) {
+				t.Fatalf("%s: got %v, want ErrSnapshotVersion", name, err)
+			}
+			if errors.Is(err, ErrCorrupt) {
+				t.Fatalf("%s: a newer snapshot schema must not be classed as corruption", name)
+			}
 		}
 	})
 	t.Run("older-snapshot-schema-loads", func(t *testing.T) {
 		// A version-1 payload predates the Version field entirely and
 		// decodes as 0; anything <= the current version must load.
 		for _, v := range []string{`{}`, `{"Version":0}`, fmt.Sprintf(`{"Version":%d}`, core.SnapshotVersion)} {
-			if _, err := Decode(frame(envelopeVersion, []byte(v))); err != nil {
-				t.Fatalf("payload %s: %v", v, err)
+			if _, err := Decode(frame(jsonEnvelope, []byte(v))); err != nil {
+				t.Fatalf("envelope-1 payload %s: %v", v, err)
+			}
+		}
+		for v := 0; v <= core.SnapshotVersion; v++ {
+			data, err := Encode(&core.StudySnapshot{Version: v})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := Decode(data); err != nil {
+				t.Fatalf("envelope-2 payload version %d: %v", v, err)
 			}
 		}
 	})
@@ -233,8 +360,9 @@ func TestManagerSaveLoadRotate(t *testing.T) {
 }
 
 // TestManagerFallsBackPastCorruption: damage to the newest snapshot —
-// bit-flipped or truncated, as a torn write would leave — is detected and
-// Load falls back to the previous good one, with the damage counted.
+// bit-flipped or truncated, as a torn write would leave, or intact but
+// laid out by another build — is detected and Load falls back to the
+// previous good one, with the damage counted.
 func TestManagerFallsBackPastCorruption(t *testing.T) {
 	corrupt := func(t *testing.T, path string, mode string) {
 		data, err := os.ReadFile(path)
@@ -246,13 +374,19 @@ func TestManagerFallsBackPastCorruption(t *testing.T) {
 			data[len(data)/2] ^= 0x01
 		case "truncate":
 			data = data[:len(data)/3]
+		case "layout":
+			// An intact file from a build whose snapshot structs are laid
+			// out differently: the checksum passes, the digest does not.
+			payload := bytes.Clone(data[headerSize : len(data)-crcSize])
+			payload[0] ^= 0xFF
+			data = frameV2(envelopeVersion, payload)
 		}
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
 
-	for _, mode := range []string{"bitflip", "truncate"} {
+	for _, mode := range []string{"bitflip", "truncate", "layout"} {
 		t.Run(mode, func(t *testing.T) {
 			dir := t.TempDir()
 			reg := telemetry.New()

@@ -9,6 +9,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -45,10 +46,16 @@ type Manager struct {
 	keep  int
 	disk  *faults.DiskPlan
 
+	// mu serializes saves over buf, the encode buffer each save reuses so
+	// a steady cadence stops allocating a snapshot-sized slice per day.
+	mu  sync.Mutex
+	buf []byte
+
 	cSaves     *telemetry.Counter
 	cLoads     *telemetry.Counter
 	cFallbacks *telemetry.Counter
 	cCorrupt   *telemetry.Counter
+	hExportMS  *telemetry.Histogram
 	hSaveMS    *telemetry.Histogram
 	hLoadMS    *telemetry.Histogram
 }
@@ -73,6 +80,7 @@ func NewManager(opts Options) (*Manager, error) {
 	m.cLoads = reg.Counter("checkpoint_loads_total")
 	m.cFallbacks = reg.Counter("checkpoint_fallbacks_total")
 	m.cCorrupt = reg.Counter("checkpoint_corrupt_total")
+	m.hExportMS = reg.Histogram("checkpoint_export_ms", telemetry.DurationBuckets())
 	m.hSaveMS = reg.Histogram("checkpoint_save_ms", telemetry.DurationBuckets())
 	m.hLoadMS = reg.Histogram("checkpoint_load_ms", telemetry.DurationBuckets())
 	return m, nil
@@ -104,14 +112,27 @@ func dayOf(name string) int {
 	return n
 }
 
+// Snapshot exports w's state for a save, timing the export into
+// checkpoint_export_ms; Save's checkpoint_save_ms covers only the encode
+// and the write that follow. w must be at a quiescent day boundary.
+func (m *Manager) Snapshot(w *core.World) *core.StudySnapshot {
+	start := time.Now()
+	snap := w.Snapshot()
+	m.hExportMS.Observe(float64(time.Since(start).Nanoseconds()) / 1e6)
+	return snap
+}
+
 // Save atomically writes a snapshot and rotates old ones away. A failure —
 // including an injected crash — leaves the previous snapshots untouched.
 func (m *Manager) Save(snap *core.StudySnapshot) error {
 	start := time.Now()
-	data, err := Encode(snap)
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	data, err := appendFrame(m.buf[:0], snap)
 	if err != nil {
 		return err
 	}
+	m.buf = data
 	name := fileFor(int(snap.NextDay))
 	if err := m.writeAtomic(name, data); err != nil {
 		return err

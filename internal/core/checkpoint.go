@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/brands"
 	"repro/internal/campaign"
@@ -217,11 +216,13 @@ func (w *World) Snapshot() *StudySnapshot {
 		snap.Resilient = &rs
 	}
 	w.attrMu.Lock()
-	for dom, name := range w.attribution {
-		snap.Attribution = append(snap.Attribution, AttributionEntry{Domain: dom, Name: name})
+	if doms := sortedKeys(w.attribution); len(doms) > 0 {
+		snap.Attribution = make([]AttributionEntry, len(doms))
+		for i, dom := range doms {
+			snap.Attribution[i] = AttributionEntry{Domain: dom, Name: w.attribution[dom]}
+		}
 	}
 	w.attrMu.Unlock()
-	sort.Slice(snap.Attribution, func(i, j int) bool { return snap.Attribution[i].Domain < snap.Attribution[j].Domain })
 	snap.Dataset = w.Data.exportState()
 	return snap
 }
@@ -328,9 +329,9 @@ func (d *Dataset) exportState() DatasetState {
 			PSRObservations:     vo.PSRObservations,
 			LabeledObservations: vo.LabeledObservations,
 			LabelEligible:       vo.LabelEligible,
-			DoorwaysSeen:        sortedSet(vo.DoorwaysSeen),
-			StoresSeen:          sortedSet(vo.StoresSeen),
-			CampaignsSeen:       sortedSet(vo.CampaignsSeen),
+			DoorwaysSeen:        sortedKeys(vo.DoorwaysSeen),
+			StoresSeen:          sortedKeys(vo.StoresSeen),
+			CampaignsSeen:       sortedKeys(vo.CampaignsSeen),
 		}
 		for _, label := range vo.Attributed.Labels {
 			vs.Attributed.Labels = append(vs.Attributed.Labels, label)
@@ -339,20 +340,15 @@ func (d *Dataset) exportState() DatasetState {
 		}
 		st.Verticals = append(st.Verticals, vs)
 	}
-	names := make([]string, 0, len(d.Campaigns))
-	for name := range d.Campaigns {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
+	for _, name := range sortedKeys(d.Campaigns) {
 		co := d.Campaigns[name]
 		cs := CampaignObsState{
 			Name:        name,
 			PSRTop100:   append(metrics.Series(nil), co.PSRTop100...),
 			PSRTop10:    append(metrics.Series(nil), co.PSRTop10...),
 			LabeledPSRs: append(metrics.Series(nil), co.LabeledPSRs...),
-			Doorways:    sortedSet(co.Doorways),
-			StoresSeen:  sortedSet(co.StoresSeen),
+			Doorways:    sortedKeys(co.Doorways),
+			StoresSeen:  sortedKeys(co.StoresSeen),
 		}
 		for _, v := range brands.All() {
 			if co.Verticals[v] {
@@ -361,12 +357,7 @@ func (d *Dataset) exportState() DatasetState {
 		}
 		st.Campaigns = append(st.Campaigns, cs)
 	}
-	ids := make([]string, 0, len(d.SampledOrders))
-	for id := range d.SampledOrders {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	for _, id := range ids {
+	for _, id := range sortedKeys(d.SampledOrders) {
 		os := d.SampledOrders[id]
 		st.SampledOrders = append(st.SampledOrders, OrderSeriesState{
 			StoreID:    id,
@@ -375,12 +366,7 @@ func (d *Dataset) exportState() DatasetState {
 			TotalDelta: os.TotalDelta,
 		})
 	}
-	ids = ids[:0]
-	for id := range d.WatchedPSRs {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	for _, id := range ids {
+	for _, id := range sortedKeys(d.WatchedPSRs) {
 		ws := d.WatchedPSRs[id]
 		st.WatchedPSRs = append(st.WatchedPSRs, WatchedStoreState{
 			StoreID: id,
@@ -391,21 +377,13 @@ func (d *Dataset) exportState() DatasetState {
 	return st
 }
 
-func sortedSet(m map[string]bool) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
+// sortedDaySet flattens a string->day map into entries sorted by key.
 func sortedDaySet(m map[string]simclock.Day) []DomainDayEntry {
-	out := make([]DomainDayEntry, 0, len(m))
-	for k, d := range m {
-		out = append(out, DomainDayEntry{Key: k, Day: d})
+	keys := sortedKeys(m)
+	out := make([]DomainDayEntry, len(keys))
+	for i, k := range keys {
+		out[i] = DomainDayEntry{Key: k, Day: m[k]}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
 	return out
 }
 

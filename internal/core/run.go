@@ -479,7 +479,7 @@ func (w *World) commitObservation(o *dayObservation, d simclock.Day, inStudy boo
 	if !inStudy {
 		return
 	}
-	for _, name := range sortedCampKeys(o.campaigns) {
+	for _, name := range sortedKeys(o.campaigns) {
 		ca := o.campaigns[name]
 		co := w.Data.campaignObs(name)
 		fpSeriesAdd(acc, campPfx(name, "top100"), co.PSRTop100, day, float64(ca.top100))
@@ -498,16 +498,8 @@ func (w *World) commitObservation(o *dayObservation, d simclock.Day, inStudy boo
 	}
 }
 
-func sortedKeys(m map[string]int) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
-func sortedCampKeys(m map[string]*campDayAgg) []string {
+// sortedKeys returns m's keys in ascending order.
+func sortedKeys[V any](m map[string]V) []string {
 	out := make([]string, 0, len(m))
 	for k := range m {
 		out = append(out, k)

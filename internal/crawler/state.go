@@ -1,6 +1,7 @@
 package crawler
 
 import (
+	"container/heap"
 	"sort"
 
 	"repro/internal/simclock"
@@ -27,25 +28,64 @@ type CrawlerState struct {
 
 // ExportCache captures the verdict cache across all shards. Safe to call
 // when no checks are in flight (the day pipeline is quiescent between
-// days).
+// days). Shards partition by hash, so per-shard order is not global order:
+// each shard's domains are sorted under its lock, and the sorted runs are
+// merged — every key is sorted once, no entry is re-sorted.
 func (c *Crawler) ExportCache() CrawlerState {
 	st := CrawlerState{Fetches: c.fetches.Load()}
+	runs := make(verdictRuns, 0, len(c.shards))
+	n := 0
 	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		doms := make([]string, 0, len(sh.cache))
-		for dom := range sh.cache {
-			doms = append(doms, dom)
+		if run := c.shards[i].export(); len(run) > 0 {
+			runs = append(runs, run)
+			n += len(run)
 		}
-		sort.Strings(doms)
-		for _, dom := range doms {
-			st.Entries = append(st.Entries, CachedVerdict{Domain: dom, Verdict: sh.cache[dom]})
-		}
-		sh.mu.Unlock()
 	}
-	// Shards partition by hash, so per-shard order is not global order.
-	sort.Slice(st.Entries, func(i, j int) bool { return st.Entries[i].Domain < st.Entries[j].Domain })
+	if n == 0 {
+		return st
+	}
+	st.Entries = make([]CachedVerdict, 0, n)
+	heap.Init(&runs)
+	for len(runs) > 0 {
+		st.Entries = append(st.Entries, runs[0][0])
+		if runs[0] = runs[0][1:]; len(runs[0]) == 0 {
+			heap.Pop(&runs)
+		} else {
+			heap.Fix(&runs, 0)
+		}
+	}
 	return st
+}
+
+// export returns the shard's cache entries sorted by domain.
+func (sh *crawlShard) export() []CachedVerdict {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	doms := make([]string, 0, len(sh.cache))
+	for dom := range sh.cache {
+		doms = append(doms, dom)
+	}
+	sort.Strings(doms)
+	run := make([]CachedVerdict, len(doms))
+	for i, dom := range doms {
+		run[i] = CachedVerdict{Domain: dom, Verdict: sh.cache[dom]}
+	}
+	return run
+}
+
+// verdictRuns is a min-heap of non-empty runs sorted by domain, keyed by
+// each run's head. Domains are unique across shards, so heads never tie.
+type verdictRuns [][]CachedVerdict
+
+func (h verdictRuns) Len() int           { return len(h) }
+func (h verdictRuns) Less(i, j int) bool { return h[i][0].Domain < h[j][0].Domain }
+func (h verdictRuns) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *verdictRuns) Push(x any)        { *h = append(*h, x.([]CachedVerdict)) }
+func (h *verdictRuns) Pop() any {
+	old := *h
+	x := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return x
 }
 
 // RestoreCache overwrites the verdict cache with a previously exported
@@ -90,9 +130,18 @@ type ResilientState struct {
 func (rf *ResilientFetcher) ExportState() ResilientState {
 	rf.mu.Lock()
 	defer rf.mu.Unlock()
+	doms := make([]string, 0, len(rf.breakers))
+	for dom := range rf.breakers {
+		doms = append(doms, dom)
+	}
+	sort.Strings(doms)
 	st := ResilientState{Stats: rf.stats}
-	for dom, br := range rf.breakers {
-		st.Breakers = append(st.Breakers, BreakerState{
+	if len(doms) > 0 {
+		st.Breakers = make([]BreakerState, len(doms))
+	}
+	for i, dom := range doms {
+		br := rf.breakers[dom]
+		st.Breakers[i] = BreakerState{
 			Domain:   dom,
 			CurDay:   br.curDay,
 			DayFail:  br.dayFail,
@@ -100,9 +149,8 @@ func (rf *ResilientFetcher) ExportState() ResilientState {
 			FailDays: br.failDays,
 			Open:     br.open,
 			OpenedOn: br.openedOn,
-		})
+		}
 	}
-	sort.Slice(st.Breakers, func(i, j int) bool { return st.Breakers[i].Domain < st.Breakers[j].Domain })
 	return st
 }
 

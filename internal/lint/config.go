@@ -188,13 +188,15 @@ func DefaultScope() *Scope {
 			"repro/internal/parallel.ForEach":                      true,
 			"repro/internal/parallel.ForEachObserved":              true,
 			"repro/internal/parallel.Map":                          true,
-			// The checkpoint manager does disk I/O and times it by design;
-			// it runs strictly at day boundaries, after the day's state has
-			// committed, and writes never feed back into the simulation —
-			// the resume tests prove a checkpointed study's fingerprint
-			// bit-identical to an uninterrupted one.
-			"(*repro/internal/checkpoint.Manager).Save": true,
-			"(*repro/internal/checkpoint.Manager).Load": true,
+			// The checkpoint manager does disk I/O and times it by design
+			// (Snapshot times the export that feeds Save); it runs strictly
+			// at day boundaries, after the day's state has committed, and
+			// neither the timings nor the writes feed back into the
+			// simulation — the resume tests prove a checkpointed study's
+			// fingerprint bit-identical to an uninterrupted one.
+			"(*repro/internal/checkpoint.Manager).Snapshot": true,
+			"(*repro/internal/checkpoint.Manager).Save":     true,
+			"(*repro/internal/checkpoint.Manager).Load":     true,
 		},
 	}
 }

@@ -304,7 +304,7 @@ func (s *Study) attachCheckpoints() error {
 		if !mgr.Due(int(d)) && int(d)+1 != w.Sim.Days() {
 			return
 		}
-		if serr := mgr.Save(w.Snapshot()); serr != nil && s.log != nil {
+		if serr := mgr.Save(mgr.Snapshot(w)); serr != nil && s.log != nil {
 			s.log.Printf("searchseizure: checkpoint save after day %d failed: %v", d, serr)
 		}
 	}
@@ -320,7 +320,7 @@ func (s *Study) Checkpoint() error {
 	if s.ckpt == nil {
 		return errors.New("searchseizure: study has no checkpoint directory (use WithCheckpoint)")
 	}
-	return s.ckpt.Save(s.World.Snapshot())
+	return s.ckpt.Save(s.ckpt.Snapshot(s.World))
 }
 
 // Run executes the full longitudinal study (idempotent: subsequent calls
